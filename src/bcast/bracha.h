@@ -54,6 +54,7 @@
 #include <tuple>
 #include <vector>
 
+#include "bcast/ack_table.h"
 #include "common/wire.h"
 #include "net/simnet.h"
 
@@ -158,11 +159,13 @@ class BrachaNode {
 
   /// Phase messages still awaiting at least one peer ack (quiescence
   /// tests pin it to 0 once every slot has delivered everywhere).
-  std::size_t unacked() const noexcept {
-    std::size_t n = 0;
-    for (const auto& [key, missing] : pending_acks_) n += !missing.empty();
-    return n;
-  }
+  std::size_t unacked() const noexcept { return acks_.unacked(); }
+
+  /// Entries held in the ack table.  A phase message acked (or written
+  /// off) by every peer loses its entry, so this returns to 0 at
+  /// quiescence; tests pin that the table does not grow with every
+  /// phase message ever sent.
+  std::size_t pending_ack_entries() const noexcept { return acks_.entries(); }
 
  private:
   using Slot = std::pair<ProcessId, std::uint64_t>;  // (origin, seq)
@@ -194,8 +197,9 @@ class BrachaNode {
   void reliable_send_all(Msg m) {
     const OutKey key{static_cast<std::uint8_t>(m.type), m.origin, m.seq};
     if (outbox_.contains(key)) return;
-    auto& missing = pending_acks_[key];
-    for (ProcessId p = 0; p < net_.num_nodes(); ++p) missing.insert(p);
+    typename AckTable<OutKey>::Peers peers;
+    for (ProcessId p = 0; p < net_.num_nodes(); ++p) peers.push_back(p);
+    acks_.expect(key, std::move(peers));
     net_.send_all(self_, m);
     outbox_.emplace(key, std::move(m));
     arm_timer();
@@ -212,23 +216,19 @@ class BrachaNode {
     // off crashed peers via the crash oracle, stay armed only while
     // acks are outstanding so a settled cluster quiesces.
     timer_armed_ = false;
-    bool any_missing = false;
-    for (auto& [key, missing] : pending_acks_) {
-      std::erase_if(missing,
-                    [this](ProcessId p) { return net_.is_crashed(p); });
-      if (missing.empty()) continue;
-      any_missing = true;
-      const auto& m = outbox_.at(key);
-      for (ProcessId p : missing) net_.send(self_, p, m);
-    }
-    if (any_missing) arm_timer();
+    const bool outstanding = acks_.retransmit(
+        [this](ProcessId p) { return net_.is_crashed(p); },
+        [this](const OutKey& key, const auto& missing) {
+          const auto& m = outbox_.at(key);
+          for (ProcessId p : missing) net_.send(self_, p, m);
+        });
+    if (outstanding) arm_timer();
   }
 
   void on_message(ProcessId from, const Msg& m) {
     if (m.type == Msg::Type::kAck) {
-      auto it = pending_acks_.find(
-          OutKey{static_cast<std::uint8_t>(m.acked), m.origin, m.seq});
-      if (it != pending_acks_.end()) it->second.erase(from);
+      acks_.ack(OutKey{static_cast<std::uint8_t>(m.acked), m.origin, m.seq},
+                from);
       return;
     }
     // Ack back so the sender can stop retransmitting this phase to us.
@@ -330,7 +330,7 @@ class BrachaNode {
   std::uint64_t next_seq_ = 0;
   std::map<Slot, SlotState> slots_;
   std::map<OutKey, Msg> outbox_;
-  std::map<OutKey, std::set<ProcessId>> pending_acks_;
+  AckTable<OutKey> acks_;
   std::vector<std::uint64_t> next_deliver_;
   std::uint64_t delivered_n_ = 0;
 };

@@ -14,14 +14,20 @@
 // making delivery survive probabilistic message drops (the network may
 // drop any single send; retransmission gives eventual delivery on fair
 // links).
+//
+// Bookkeeping: known messages are stored per origin, indexed by sequence
+// number (an origin's seqs are dense from 0); the ack table
+// (bcast/ack_table.h) holds only messages some peer has not acked yet.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
-#include <set>
+#include <optional>
+#include <utility>
 #include <vector>
 
+#include "bcast/ack_table.h"
 #include "net/simnet.h"
 
 namespace tokensync {
@@ -60,6 +66,7 @@ class ErbNode {
           std::uint64_t retransmit_every = 50)
       : net_(net), self_(self), deliver_(std::move(deliver)),
         retransmit_every_(retransmit_every),
+        known_(net.num_nodes()),
         next_deliver_(net.num_nodes(), 0) {
     net_.set_handler(self_, [this](ProcessId from, const ErbMsg<Payload>& m) {
       on_message(from, m);
@@ -93,23 +100,34 @@ class ErbNode {
 
   /// Messages still awaiting at least one peer ack (retransmission is
   /// live while this is non-zero; quiescence tests pin it to 0).
-  std::size_t unacked() const noexcept {
-    std::size_t n = 0;
-    for (const auto& [key, missing] : pending_acks_) n += !missing.empty();
-    return n;
-  }
+  std::size_t unacked() const noexcept { return acks_.unacked(); }
+
+  /// Entries held in the ack table.  A settled message's entry is
+  /// dropped, so this returns to 0 at quiescence; tests pin that the
+  /// table does not grow with every message ever broadcast.
+  std::size_t pending_ack_entries() const noexcept { return acks_.entries(); }
 
  private:
   using Key = std::pair<ProcessId, std::uint64_t>;
 
+  /// The stored copy of (origin, seq), or nullptr if not yet known.
+  const ErbMsg<Payload>* find_known(ProcessId origin,
+                                    std::uint64_t seq) const {
+    const auto& from_origin = known_[origin];
+    if (seq >= from_origin.size() || !from_origin[seq]) return nullptr;
+    return &*from_origin[seq];
+  }
+
   void store_and_forward(const ErbMsg<Payload>& m) {
-    const Key key{m.origin, m.seq};
-    if (known_.contains(key)) return;
-    known_.emplace(key, m);
-    pending_acks_[key] = {};
+    if (find_known(m.origin, m.seq)) return;
+    auto& from_origin = known_[m.origin];
+    if (m.seq >= from_origin.size()) from_origin.resize(m.seq + 1);
+    from_origin[m.seq] = m;
+    typename AckTable<Key>::Peers peers;
     for (ProcessId p = 0; p < net_.num_nodes(); ++p) {
-      if (p != self_) pending_acks_[key].insert(p);
+      if (p != self_) peers.push_back(p);
     }
+    acks_.expect(Key{m.origin, m.seq}, std::move(peers));
     net_.send_all(self_, m);
     arm_timer();
     try_deliver(m.origin);
@@ -123,8 +141,7 @@ class ErbNode {
 
   void on_message(ProcessId from, const ErbMsg<Payload>& m) {
     if (m.type == ErbMsg<Payload>::Type::kAck) {
-      auto it = pending_acks_.find(Key{m.origin, m.seq});
-      if (it != pending_acks_.end()) it->second.erase(from);
+      acks_.ack(Key{m.origin, m.seq}, from);
       return;
     }
     // Ack back to the forwarder so it can stop retransmitting to us.
@@ -142,25 +159,19 @@ class ErbNode {
     // (without it, one crashed peer keeps every correct node's timer
     // armed and the network never quiesces).
     timer_armed_ = false;
-    bool any_missing = false;
-    for (auto& [key, missing] : pending_acks_) {
-      std::erase_if(missing,
-                    [this](ProcessId p) { return net_.is_crashed(p); });
-      if (missing.empty()) continue;
-      any_missing = true;
-      const auto& m = known_.at(key);
-      for (ProcessId p : missing) net_.send(self_, p, m);
-    }
-    if (any_missing) arm_timer();
+    const bool outstanding = acks_.retransmit(
+        [this](ProcessId p) { return net_.is_crashed(p); },
+        [this](const Key& key, const auto& missing) {
+          const auto& m = *find_known(key.first, key.second);
+          for (ProcessId p : missing) net_.send(self_, p, m);
+        });
+    if (outstanding) arm_timer();
   }
 
   void try_deliver(ProcessId origin) {
     // FIFO: deliver contiguous sequence numbers only.
-    for (;;) {
-      const Key key{origin, next_deliver_[origin]};
-      auto it = known_.find(key);
-      if (it == known_.end()) return;
-      deliver_(origin, it->second.seq, it->second.payload);
+    while (const auto* m = find_known(origin, next_deliver_[origin])) {
+      deliver_(origin, m->seq, m->payload);
       ++delivered_n_;
       ++next_deliver_[origin];
     }
@@ -172,8 +183,11 @@ class ErbNode {
   std::uint64_t retransmit_every_;
   bool timer_armed_ = false;
   std::uint64_t next_seq_ = 0;
-  std::map<Key, ErbMsg<Payload>> known_;
-  std::map<Key, std::set<ProcessId>> pending_acks_;
+  /// known_[origin][seq]: every message stored so far.  A deque, so a
+  /// delivery callback that broadcasts (growing its own origin's row)
+  /// leaves the payload it was handed in place.
+  std::vector<std::deque<std::optional<ErbMsg<Payload>>>> known_;
+  AckTable<Key> acks_;
   std::vector<std::uint64_t> next_deliver_;
   std::uint64_t delivered_n_ = 0;
 };

@@ -5,11 +5,12 @@
 // messages with randomized per-message delays, probabilistic drops and
 // duplication, programmable partitions, crash-stop faults, per-node timers
 // and callbacks, and a net-level fault schedule.  Everything is driven by
-// one seeded Rng plus a FIFO tie-break on equal timestamps, so a run is a
-// pure function of (seed, the sequence of API calls): two runs with the
-// same seed and the same deterministic protocol code produce the same
-// delivery order, the same drops, the same fault timing — byte-identical
-// traces (the property tests/scenario_test.cc asserts end-to-end).
+// seeded Rngs plus a per-event tie-break sequence on equal timestamps (see
+// next_tie), so a run is a pure function of (seed, the sequence of API
+// calls): two runs with the same seed and the same deterministic protocol
+// code produce the same delivery order, the same drops, the same fault
+// timing — byte-identical traces (the property tests/scenario_test.cc
+// asserts end-to-end).
 //
 // Fault model (what the seed covers and what it does not):
 //   * delays       — uniform in [min_delay, max_delay] per message, drawn
@@ -38,9 +39,17 @@
 //
 // SimNet is templated on the wire-message type; each protocol defines its
 // own message struct and registers a delivery handler per node.
+//
+// Storage: the priority queue orders 24-byte (time, tie, slot) keys only.
+// Each event's body (kind, endpoints, timer id, message, callback) sits in
+// a free-listed slab and is dispatched where it lies, so a heap sift moves
+// three words instead of a message variant plus a std::function.  The slab
+// is a std::deque: handlers push new events during dispatch, and growing a
+// deque at the back leaves references to the body being dispatched valid.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -224,8 +233,7 @@ class SimNet {
   /// node's timer handler with `timer_id` (legacy protocol-engine path).
   void set_timer(ProcessId node, std::uint64_t delay,
                  std::uint64_t timer_id) {
-    events_.push(Event{now_ + delay, next_tie(false), Event::kTimer, node,
-                       node, Msg{}, timer_id, {}});
+    push_timer(node, delay, timer_id, false);
   }
 
   /// set_timer for auxiliary-class protocol engines (relay recovery):
@@ -233,8 +241,7 @@ class SimNet {
   /// sequence so arming/cancelling it cannot reorder primary events.
   void set_timer_aux(ProcessId node, std::uint64_t delay,
                      std::uint64_t timer_id) {
-    events_.push(Event{now_ + delay, next_tie(true), Event::kTimer, node,
-                       node, Msg{}, timer_id, {}});
+    push_timer(node, delay, timer_id, true);
   }
 
   /// Schedules fn at now + delay on `node`; silently dropped if the node
@@ -243,48 +250,51 @@ class SimNet {
   /// node without sharing the timer handler.
   void call_at(ProcessId node, std::uint64_t delay, Callback fn) {
     TS_EXPECTS(node < num_nodes());
-    events_.push(Event{now_ + delay, next_tie(false), Event::kCall, node,
-                       node, Msg{}, 0, std::move(fn)});
+    push_callback(Kind::kCall, node, delay, std::move(fn));
   }
 
   /// Schedules a net-level control action at now + delay — runs
   /// unconditionally (fault schedules: partitions, crashes, heals).
   void schedule(std::uint64_t delay, Callback fn) {
-    events_.push(Event{now_ + delay, next_tie(false), Event::kControl, 0, 0,
-                       Msg{}, 0, std::move(fn)});
+    push_callback(Kind::kControl, 0, delay, std::move(fn));
   }
 
   /// Delivers the next event; false when the queue is empty.
   bool step() {
-    if (events_.empty()) return false;
-    // Move, don't copy: top() is popped immediately, and Event carries a
-    // message payload plus a std::function — the hot path of every run.
-    Event e = std::move(const_cast<Event&>(events_.top()));
-    events_.pop();
-    now_ = e.time;
+    if (queue_.empty()) return false;
+    const Key k = queue_.top();
+    queue_.pop();
+    now_ = k.time;
+    // The body stays in its slot while its handler runs (events the
+    // handler pushes take other slots) and is released afterwards.
+    Body& e = slab_[k.slot];
     switch (e.kind) {
-      case Event::kControl:
+      case Kind::kControl:
         e.fn();
-        return true;
-      case Event::kCall:
+        e.fn = nullptr;
+        break;
+      case Kind::kCall:
         if (!crashed_[e.to]) e.fn();
-        return true;
-      case Event::kTimer:
+        e.fn = nullptr;
+        break;
+      case Kind::kTimer:
         if (!crashed_[e.to] && timer_handlers_[e.to]) {
           timer_handlers_[e.to](e.timer_id);
         }
-        return true;
-      case Event::kMsg:
+        break;
+      case Kind::kMsg:
         if (crashed_[e.to]) {
           ++stats_.dropped;
-          return true;
+        } else {
+          ++stats_.delivered;
+          stats_.bytes_delivered += wire_size_of(e.msg);
+          if (handlers_[e.to]) handlers_[e.to](e.from, e.msg);
         }
-        ++stats_.delivered;
-        stats_.bytes_delivered += wire_size_of(e.msg);
-        if (handlers_[e.to]) handlers_[e.to](e.from, e.msg);
-        return true;
+        e.msg = Msg{};
+        break;
     }
-    return true;  // unreachable
+    free_.push_back(k.slot);
+    return true;
   }
 
   /// Runs until quiescence or `max_events`; returns events processed.
@@ -294,28 +304,66 @@ class SimNet {
     return processed;
   }
 
-  bool idle() const noexcept { return events_.empty(); }
+  bool idle() const noexcept { return queue_.empty(); }
 
  private:
   static constexpr std::uint32_t kIsolated = 0xffffffffu;
 
-  struct Event {
-    enum Kind : std::uint8_t { kMsg, kTimer, kCall, kControl };
+  enum class Kind : std::uint8_t { kMsg, kTimer, kCall, kControl };
 
+  /// What the queue orders.  (time, tie) is unique per event, so the pop
+  /// order never depends on the slot numbers.
+  struct Key {
     std::uint64_t time;
-    std::uint64_t tie;  // FIFO tiebreak for equal timestamps
-    Kind kind;
-    ProcessId from;
-    ProcessId to;
-    Msg msg;
-    std::uint64_t timer_id;
-    Callback fn;
+    std::uint64_t tie;
+    std::uint32_t slot;
   };
+  static_assert(sizeof(Key) == 24);
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       return a.time != b.time ? a.time > b.time : a.tie > b.tie;
     }
   };
+
+  /// An event's payload.  A released slot holds an empty `msg` and `fn`.
+  struct Body {
+    Kind kind = Kind::kMsg;
+    ProcessId from = 0;
+    ProcessId to = 0;
+    std::uint64_t timer_id = 0;
+    Msg msg{};
+    Callback fn;
+  };
+
+  /// Takes a free slot (the most recently released first) or grows the
+  /// slab, fills its header and queues it at now + delay.
+  Body& push(Kind kind, ProcessId from, ProcessId to, std::uint64_t delay,
+             bool aux) {
+    std::uint32_t slot;
+    if (free_.empty()) {
+      slot = static_cast<std::uint32_t>(slab_.size());
+      slab_.emplace_back();
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+    }
+    Body& b = slab_[slot];
+    b.kind = kind;
+    b.from = from;
+    b.to = to;
+    queue_.push(Key{now_ + delay, next_tie(aux), slot});
+    return b;
+  }
+
+  void push_timer(ProcessId node, std::uint64_t delay,
+                  std::uint64_t timer_id, bool aux) {
+    push(Kind::kTimer, node, node, delay, aux).timer_id = timer_id;
+  }
+
+  void push_callback(Kind kind, ProcessId node, std::uint64_t delay,
+                     Callback fn) {
+    push(kind, node, node, delay, false).fn = std::move(fn);
+  }
 
   void push_message(ProcessId from, ProcessId to, Msg m, bool aux) {
     std::uint64_t lo = cfg_.min_delay, hi = cfg_.max_delay;
@@ -327,8 +375,7 @@ class SimNet {
       }
     }
     const std::uint64_t delay = (aux ? aux_rng_ : rng_).range(lo, hi);
-    events_.push(Event{now_ + delay, next_tie(aux), Event::kMsg, from, to,
-                       std::move(m), 0, {}});
+    push(Kind::kMsg, from, to, delay, aux).msg = std::move(m);
   }
 
   /// Two disjoint tie-break sequences (primary even, aux odd): the
@@ -353,7 +400,9 @@ class SimNet {
   std::map<std::pair<ProcessId, ProcessId>,
            std::pair<std::uint64_t, std::uint64_t>>
       link_delay_;
-  std::priority_queue<Event, std::vector<Event>, Later> events_;
+  std::priority_queue<Key, std::vector<Key>, Later> queue_;
+  std::deque<Body> slab_;
+  std::vector<std::uint32_t> free_;  ///< released slab slots, reused LIFO
   NetStats stats_;
 };
 

@@ -179,10 +179,11 @@ class LedgerHarness {
   /// audit_conservation — one implementation for all three harnesses.)
   ScenarioReport finish(
       const std::function<std::optional<std::string>(const SM&)>& conserve) {
-    drain_cluster(net_, nodes_, correct_);
+    const bool drained = drain_cluster(net_, nodes_, correct_);
     const std::size_t ref = reference_replica(correct_);
     ScenarioReport rep = cluster_report(cfg_, net_, nodes_, correct_,
                                         nodes_[ref]->log().size());
+    note_drain(rep, drained);
     audit_conservation(rep, nodes_, [&conserve](const Node& n) {
       return conserve(n.machine());
     });
@@ -367,13 +368,14 @@ ScenarioReport run_dyntoken_reconfig(const ScenarioConfig& cfg) {
     }
   }
 
-  drain_to_convergence(net, [&nodes, &correct] {
+  const bool drained = drain_to_convergence(net, [&nodes, &correct] {
     for (std::size_t p = 0; p < nodes.size(); ++p) {
       if (correct[p]) nodes[p]->sync();
     }
   });
 
   ScenarioReport rep;
+  note_drain(rep, drained);
   const std::size_t ref = reference_replica(correct);
   fill_report_skeleton(rep, to_string(cfg.workload), cfg.fault, cfg.seed, n,
                        net.now(), net.stats(), nodes[ref]->history(),
@@ -455,7 +457,7 @@ ScenarioReport run_at_bcast_payments(const ScenarioConfig& cfg) {
   // to call (the extra drain rounds are no-ops once the queue empties —
   // ERB writes off crashed peers via the crash oracle, so the network
   // quiesces under every profile).
-  drain_to_convergence(net, /*sync_all=*/nullptr);
+  const bool drained = drain_to_convergence(net, /*sync_all=*/nullptr);
 
   const std::size_t ref = reference_replica(correct);
   std::string h = "applied=" + std::to_string(nodes[ref]->applied_count()) +
@@ -465,6 +467,7 @@ ScenarioReport run_at_bcast_payments(const ScenarioConfig& cfg) {
   }
   h += "]\n";
   ScenarioReport rep;
+  note_drain(rep, drained);
   fill_report_skeleton(rep, to_string(cfg.workload), cfg.fault, cfg.seed, n,
                        net.now(), net.stats(), std::move(h),
                        nodes[ref]->applied_count(),
@@ -743,12 +746,13 @@ class BlockHarness {
         net_.call_at(p, t, [this, p] { nodes_[p]->on_deadline(); });
       }
     }
-    drain_cluster(net_, nodes_, correct_);
+    const bool drained = drain_cluster(net_, nodes_, correct_);
     const std::size_t ref = reference_replica(correct_);
     ScenarioReport rep = rejoiner_
                              ? rejoin_report(ref)
                              : cluster_report(cfg_, net_, nodes_, correct_,
                                               nodes_[ref]->ops_committed());
+    note_drain(rep, drained);
     rep.slots = nodes_[ref]->blocks_committed();
     rep.proposal_bytes = nodes_[ref]->proposal_bytes();
     for (std::size_t p = 0; p < nodes_.size(); ++p) {
@@ -957,10 +961,11 @@ class MultiProposerHarness {
         net_.call_at(p, t, [this, p] { nodes_[p]->on_deadline(); });
       }
     }
-    drain_cluster(net_, nodes_, correct_);
+    const bool drained = drain_cluster(net_, nodes_, correct_);
     const std::size_t ref = reference_replica(correct_);
     ScenarioReport rep = cluster_report(cfg_, net_, nodes_, correct_,
                                         nodes_[ref]->ops_committed());
+    note_drain(rep, drained);
     rep.slots = nodes_[ref]->slots_committed();
     rep.proposal_bytes = nodes_[ref]->proposal_bytes();
     if (rep.slots > 0) {
@@ -1152,7 +1157,7 @@ class HybridHarness {
   ScenarioReport finish(
       const std::function<std::optional<std::string>(
           const typename Spec::SeqState&)>& conserve) {
-    drain_cluster(net_, nodes_, correct_);
+    const bool drained = drain_cluster(net_, nodes_, correct_);
     // Terminal fast epoch — correct replicas only (a crashed replica
     // cannot run anything; its history stays a prefix by construction).
     for (std::size_t p = 0; p < nodes_.size(); ++p) {
@@ -1163,6 +1168,7 @@ class HybridHarness {
     ScenarioReport rep =
         cluster_report(cfg_, net_, nodes_, correct_,
                        nodes_[ref]->engine().ops_applied());
+    note_drain(rep, drained);
     rep.slots = nodes_[ref]->consensus_slots();
     rep.fast_lane_ops = nodes_[ref]->fast_lane_ops();
     rep.proposal_bytes = nodes_[ref]->proposal_bytes();
@@ -1442,7 +1448,7 @@ class ShardHarness {
     // Ten rounds of run-to-quiescence + cut cover the longest chain
     // (prepare -> commit -> ack, or out -> in -> ack, each stage one
     // commit plus one cut) with room for lossy retransmits.
-    drain_to_convergence(net_, [this] {
+    const bool drained = drain_to_convergence(net_, [this] {
       for (std::size_t p = 0; p < nodes_.size(); ++p) {
         if (correct_[p]) {
           nodes_[p]->sync();
@@ -1452,6 +1458,7 @@ class ShardHarness {
     });
 
     ScenarioReport rep;
+    note_drain(rep, drained);
     const std::size_t ref = reference_replica(correct_);
     fill_report_skeleton(rep, to_string(cfg_.workload), cfg_.fault, cfg_.seed,
                          cfg_.num_replicas, net_.now(), net_.stats(),

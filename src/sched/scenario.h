@@ -418,13 +418,30 @@ void arm_fault_schedule(SimNet<Msg>& net, FaultProfile f,
 /// replica can be unsettled for reasons syncing never fixes (its peers
 /// genuinely never decided), and a fixed schedule keeps the run a pure
 /// function of the seed.
+///
+/// Returns false iff some drain stopped at `budget` events with events
+/// still queued: the scenario was cut short, not drained.  Harnesses
+/// pass the result to note_drain so a truncated run fails its report.
 template <typename Net>
-void drain_to_convergence(Net& net, const std::function<void()>& sync_all,
+bool drain_to_convergence(Net& net, const std::function<void()>& sync_all,
                           std::size_t budget = 4'000'000, int rounds = 10) {
-  net.run(budget);
+  const auto drain = [&net, budget] {
+    return net.run(budget) < budget || net.idle();
+  };
+  bool drained = drain();
   for (int r = 0; r < rounds; ++r) {
     if (sync_all) sync_all();
-    net.run(budget);
+    drained = drain() && drained;
+  }
+  return drained;
+}
+
+/// Records an exhausted event budget (drain_to_convergence returned
+/// false) as a violation: the audit saw a truncated schedule.
+inline void note_drain(ScenarioReport& rep, bool drained) {
+  if (!drained) {
+    rep.violations.push_back(
+        "event budget exhausted before quiescence: run truncated");
   }
 }
 
@@ -515,10 +532,11 @@ void audit_replica_cluster(ScenarioReport& rep,
 
 /// The drain step every replica-cluster harness shares: run to
 /// quiescence with anti-entropy probes from the correct replicas.
+/// Returns drain_to_convergence's verdict.
 template <typename Net, typename Node>
-void drain_cluster(Net& net, const std::vector<std::unique_ptr<Node>>& nodes,
+bool drain_cluster(Net& net, const std::vector<std::unique_ptr<Node>>& nodes,
                    const std::vector<bool>& correct) {
-  drain_to_convergence(net, [&nodes, &correct] {
+  return drain_to_convergence(net, [&nodes, &correct] {
     for (std::size_t p = 0; p < nodes.size(); ++p) {
       if (correct[p]) nodes[p]->sync();
     }
@@ -605,7 +623,7 @@ ScenarioReport run_token_race_scenario(std::size_t k, FaultProfile fault,
     net.call_at(p, 60 + 3 * p, [node] { node->submit(RaceCmd::race()); });
   }
 
-  drain_cluster(net, nodes, correct);
+  const bool drained = drain_cluster(net, nodes, correct);
 
   ScenarioReport rep;
   const std::size_t ref = reference_replica(correct);
@@ -614,6 +632,7 @@ ScenarioReport run_token_race_scenario(std::size_t k, FaultProfile fault,
                        nodes[ref]->log().empty()
                            ? 0
                            : nodes[ref]->log().back().time);
+  note_drain(rep, drained);
   audit_replica_cluster(rep, nodes, correct);
 
   // Cross-participant agreement on the decided value, and validity.

@@ -162,6 +162,7 @@ TEST(BrachaEdge, RetransmissionQuiescesAfterDelivery) {
   for (ProcessId p = 0; p < 4; ++p) {
     EXPECT_EQ(c.delivered[p].size(), 5u) << "node " << p;
     EXPECT_EQ(c.nodes[p]->unacked(), 0u) << "node " << p;
+    EXPECT_EQ(c.nodes[p]->pending_ack_entries(), 0u) << "node " << p;
   }
   // A quiescent cluster accepts new broadcasts (timers re-arm cleanly).
   c.nodes[0]->broadcast(Note{99});
@@ -183,6 +184,7 @@ TEST(BrachaEdge, QuiescesUnderHeavyLossToo) {
   for (ProcessId p = 0; p < 4; ++p) {
     EXPECT_EQ(c.delivered[p].size(), 4u) << "node " << p;
     EXPECT_EQ(c.nodes[p]->unacked(), 0u);
+    EXPECT_EQ(c.nodes[p]->pending_ack_entries(), 0u);
   }
 }
 
@@ -200,6 +202,7 @@ TEST(BrachaEdge, CrashedReceiverIsWrittenOff) {
   for (ProcessId p = 0; p < 3; ++p) {
     ASSERT_EQ(c.delivered[p].size(), 1u) << "node " << p;
     EXPECT_EQ(c.nodes[p]->unacked(), 0u);
+    EXPECT_EQ(c.nodes[p]->pending_ack_entries(), 0u);
   }
   EXPECT_TRUE(c.delivered[3].empty());
 }

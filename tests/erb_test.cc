@@ -84,6 +84,7 @@ TEST(ErbEdge, RetransmissionQuiescesAfterAllAcked) {
   EXPECT_TRUE(c.net.idle());
   for (ProcessId p = 0; p < 4; ++p) {
     EXPECT_EQ(c.nodes[p]->unacked(), 0u) << "node " << p;
+    EXPECT_EQ(c.nodes[p]->pending_ack_entries(), 0u) << "node " << p;
   }
   // A quiescent cluster accepts new broadcasts (timers re-arm cleanly).
   c.nodes[0]->broadcast(Note{99});
@@ -107,6 +108,7 @@ TEST(ErbEdge, QuiescesUnderHeavyLossToo) {
   for (ProcessId p = 0; p < 3; ++p) {
     EXPECT_EQ(c.delivered[p].size(), 4u) << "node " << p;
     EXPECT_EQ(c.nodes[p]->unacked(), 0u);
+    EXPECT_EQ(c.nodes[p]->pending_ack_entries(), 0u);
   }
 }
 
@@ -140,6 +142,7 @@ TEST(ErbEdge, CrashedReceiverIsWrittenOff) {
   for (ProcessId p = 0; p < 3; ++p) {
     ASSERT_EQ(c.delivered[p].size(), 1u) << "node " << p;
     EXPECT_EQ(c.nodes[p]->unacked(), 0u);
+    EXPECT_EQ(c.nodes[p]->pending_ack_entries(), 0u);
   }
   EXPECT_TRUE(c.delivered[3].empty());
 }

@@ -256,5 +256,39 @@ TEST(ReplicatedRace, ExactlyOneWinnerEveryProfile) {
   }
 }
 
+// --- Drain budget: a truncated run must not pass as a drained one --------
+
+TEST(DrainBudget, ExhaustedBudgetBecomesAViolation) {
+  // A timer that re-arms itself forever: no budget drains this queue.
+  SimNet<int> net(1, NetConfig{});
+  net.set_timer_handler(0, [&net](std::uint64_t) { net.set_timer(0, 1, 0); });
+  net.set_timer(0, 1, 0);
+  int syncs = 0;
+  EXPECT_FALSE(drain_to_convergence(net, [&syncs] { ++syncs; },
+                                    /*budget=*/16, /*rounds=*/2));
+  EXPECT_EQ(syncs, 2);
+  EXPECT_FALSE(net.idle());
+
+  ScenarioReport rep;
+  rep.agreement = rep.conservation = rep.settled = true;
+  note_drain(rep, true);
+  EXPECT_TRUE(rep.ok());
+  note_drain(rep, false);
+  EXPECT_FALSE(rep.ok());
+  ASSERT_EQ(rep.violations.size(), 1u);
+  EXPECT_NE(rep.violations[0].find("event budget"), std::string::npos);
+}
+
+TEST(DrainBudget, RunEndingIdleAtTheBudgetIsDrained) {
+  // Exactly `budget` events and then an empty queue: run() returns the
+  // budget, but nothing was cut off.
+  SimNet<int> net(2, NetConfig{});
+  for (int i = 0; i < 8; ++i) net.send(0, 1, i);
+  EXPECT_TRUE(drain_to_convergence(net, nullptr, /*budget=*/8,
+                                   /*rounds=*/1));
+  EXPECT_TRUE(net.idle());
+  EXPECT_EQ(net.stats().delivered, 8u);
+}
+
 }  // namespace
 }  // namespace tokensync
