@@ -1,7 +1,10 @@
 // Golden behaviour corpus, first slice: recorded history digests and
-// wire counts for the benchmark's cluster configs plus three feature
-// paths (Bracha with an equivocator, compact relay through a crash and
-// rejoin, sharded groups).
+// wire counts for the benchmark's cluster configs plus six feature
+// paths (Bracha with an equivocator, compact and full relay through a
+// crash and rejoin, the two tiers across a partition, sharded groups).
+// The partition, rejoin and four-group rows put fault schedules and
+// client callbacks far beyond SimNet's timing-wheel horizon and across
+// stretches where the wheel runs empty.
 //
 // Every other determinism test compares a run against another run of the
 // same code (twice, across thread counts, across relay modes), so a
@@ -89,6 +92,30 @@ ScenarioConfig compact_crash_rejoin() {
   return c;
 }
 
+// Full relay with snapshots and log pruning while one replica crashes
+// and rejoins from a fetched snapshot.
+ScenarioConfig full_crash_rejoin_pruned() {
+  ScenarioConfig c;
+  c.workload = Workload::kErc20BlockStorm;
+  c.fault = FaultProfile::kCrashRejoin;
+  c.num_replicas = 4;
+  c.intensity = 4;
+  c.snapshot_interval = 2;
+  c.prune = true;
+  return c;
+}
+
+// The paper's two tiers through a majority/minority split healed at
+// t=700.
+ScenarioConfig tiers_partition_heal() {
+  ScenarioConfig c;
+  c.workload = Workload::kMixedSyncTiers;
+  c.fault = FaultProfile::kPartitionHeal;
+  c.num_replicas = 4;
+  c.intensity = 6;
+  return c;
+}
+
 // Two replica groups on one SimNet, with cross-shard 2PC.
 ScenarioConfig zipfian_two_groups() {
   ScenarioConfig c;
@@ -97,6 +124,17 @@ ScenarioConfig zipfian_two_groups() {
   c.num_replicas = 4;
   c.intensity = 5;
   c.num_groups = 2;
+  return c;
+}
+
+// Four replica groups on one SimNet over lossy, duplicating links.
+ScenarioConfig zipfian_four_groups() {
+  ScenarioConfig c;
+  c.workload = Workload::kErc20ZipfianShards;
+  c.fault = FaultProfile::kLossyDup;
+  c.num_replicas = 4;
+  c.intensity = 5;
+  c.num_groups = 4;
   return c;
 }
 
@@ -167,6 +205,27 @@ TEST(GoldenDigest, ZipfianTwoGroups) {
       {"zipfian_two_groups", 7, 0xfec756d5e16ca35dull, 3235, 571960},
   };
   check_rows(zipfian_two_groups, kRows, std::size(kRows));
+}
+
+TEST(GoldenDigest, FullRelayCrashRejoinPruned) {
+  static constexpr GoldenRow kRows[] = {
+      {"full_crash_rejoin_pruned", 7, 0x3c69b65c93304c69ull, 1054, 163732},
+  };
+  check_rows(full_crash_rejoin_pruned, kRows, std::size(kRows));
+}
+
+TEST(GoldenDigest, TiersPartitionHeal) {
+  static constexpr GoldenRow kRows[] = {
+      {"tiers_partition_heal", 7, 0x04d3a4187435cc84ull, 4275, 660536},
+  };
+  check_rows(tiers_partition_heal, kRows, std::size(kRows));
+}
+
+TEST(GoldenDigest, ZipfianFourGroups) {
+  static constexpr GoldenRow kRows[] = {
+      {"zipfian_four_groups", 7, 0x3c8b2cc739007a73ull, 5399, 740136},
+  };
+  check_rows(zipfian_four_groups, kRows, std::size(kRows));
 }
 
 }  // namespace
