@@ -29,15 +29,20 @@ class AckTable {
   }
 
   /// Records `from`'s ack of `key`; unknown keys and repeated acks are
-  /// ignored.
-  void ack(const Key& key, ProcessId from) {
+  /// ignored.  Returns true iff this ack settled the entry.
+  bool ack(const Key& key, ProcessId from) {
     const auto it = pending_.find(key);
-    if (it == pending_.end()) return;
+    if (it == pending_.end()) return false;
     Peers& missing = it->second;
     const auto pos = std::lower_bound(missing.begin(), missing.end(), from);
     if (pos != missing.end() && *pos == from) missing.erase(pos);
-    if (missing.empty()) pending_.erase(it);
+    if (!missing.empty()) return false;
+    pending_.erase(it);
+    return true;
   }
+
+  /// True iff `key` still misses some peer's ack.
+  bool pending(const Key& key) const { return pending_.contains(key); }
 
   /// One retransmit round in key order: drops every peer for which
   /// `gone(p)` holds, then calls `resend(key, missing)` for each entry

@@ -220,7 +220,7 @@ class BrachaNode {
         [this](ProcessId p) { return net_.is_crashed(p); },
         [this](const OutKey& key, const auto& missing) {
           const auto& m = outbox_.at(key);
-          for (ProcessId p : missing) net_.send(self_, p, m);
+          net_.send_to(self_, missing, m);
         });
     if (outstanding) arm_timer();
   }

@@ -15,9 +15,13 @@
 // drop any single send; retransmission gives eventual delivery on fair
 // links).
 //
-// Bookkeeping: known messages are stored per origin, indexed by sequence
-// number (an origin's seqs are dense from 0); the ack table
-// (bcast/ack_table.h) holds only messages some peer has not acked yet.
+// Bookkeeping: the ack table (bcast/ack_table.h) holds only messages some
+// peer has not acked yet.  Messages are stored per origin, indexed by
+// sequence number (an origin's seqs are dense from 0), and only while
+// they still matter: until delivered here and settled in the ack table.
+// A message below the origin's delivery frontier is known without being
+// stored, so dedup needs just the frontier plus the out-of-order
+// entries, and memory follows the unsettled window, not the run length.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +68,8 @@ class ErbNode {
 
   ErbNode(Net& net, ProcessId self, Deliver deliver,
           std::uint64_t retransmit_every = 50)
-      : net_(net), self_(self), deliver_(std::move(deliver)),
+      : net_(net), self_(self), peers_(peers_of(net.num_nodes(), self)),
+        deliver_(std::move(deliver)),
         retransmit_every_(retransmit_every),
         known_(net.num_nodes()),
         next_deliver_(net.num_nodes(), 0) {
@@ -107,27 +112,43 @@ class ErbNode {
   /// table does not grow with every message ever broadcast.
   std::size_t pending_ack_entries() const noexcept { return acks_.entries(); }
 
+  /// Messages held in the store: not yet delivered here, or delivered
+  /// but not yet acked by every live peer (or queued behind one that
+  /// is not).  Returns to 0 at quiescence; tests pin that the store does
+  /// not keep every message for the node's whole life.
+  std::size_t stored_messages() const noexcept { return stored_; }
+
  private:
   using Key = std::pair<ProcessId, std::uint64_t>;
 
-  /// The stored copy of (origin, seq), or nullptr if not yet known.
-  const ErbMsg<Payload>* find_known(ProcessId origin,
-                                    std::uint64_t seq) const {
-    const auto& from_origin = known_[origin];
-    if (seq >= from_origin.size() || !from_origin[seq]) return nullptr;
-    return &*from_origin[seq];
+  /// One origin's stored messages, from seq `base` on.  Every seq in
+  /// [base, frontier) is present; above the frontier only the ones
+  /// received out of order are.
+  struct Row {
+    std::uint64_t base = 0;
+    std::deque<std::optional<ErbMsg<Payload>>> msgs;
+  };
+
+  /// The stored copy of (origin, seq), or nullptr.
+  const ErbMsg<Payload>* find_stored(ProcessId origin,
+                                     std::uint64_t seq) const {
+    const Row& row = known_[origin];
+    if (seq < row.base || seq - row.base >= row.msgs.size()) return nullptr;
+    const auto& slot = row.msgs[seq - row.base];
+    return slot ? &*slot : nullptr;
   }
 
   void store_and_forward(const ErbMsg<Payload>& m) {
-    if (find_known(m.origin, m.seq)) return;
-    auto& from_origin = known_[m.origin];
-    if (m.seq >= from_origin.size()) from_origin.resize(m.seq + 1);
-    from_origin[m.seq] = m;
-    typename AckTable<Key>::Peers peers;
-    for (ProcessId p = 0; p < net_.num_nodes(); ++p) {
-      if (p != self_) peers.push_back(p);
+    // Below the frontier means delivered, stored or not.
+    if (m.seq < next_deliver_[m.origin] || find_stored(m.origin, m.seq)) {
+      return;
     }
-    acks_.expect(Key{m.origin, m.seq}, std::move(peers));
+    Row& row = known_[m.origin];
+    const std::uint64_t i = m.seq - row.base;
+    if (i >= row.msgs.size()) row.msgs.resize(i + 1);
+    row.msgs[i] = m;
+    ++stored_;
+    acks_.expect(Key{m.origin, m.seq}, peers_);
     net_.send_all(self_, m);
     arm_timer();
     try_deliver(m.origin);
@@ -141,7 +162,7 @@ class ErbNode {
 
   void on_message(ProcessId from, const ErbMsg<Payload>& m) {
     if (m.type == ErbMsg<Payload>::Type::kAck) {
-      acks_.ack(Key{m.origin, m.seq}, from);
+      if (acks_.ack(Key{m.origin, m.seq}, from)) prune(m.origin);
       return;
     }
     // Ack back to the forwarder so it can stop retransmitting to us.
@@ -162,34 +183,68 @@ class ErbNode {
     const bool outstanding = acks_.retransmit(
         [this](ProcessId p) { return net_.is_crashed(p); },
         [this](const Key& key, const auto& missing) {
-          const auto& m = *find_known(key.first, key.second);
-          for (ProcessId p : missing) net_.send(self_, p, m);
+          net_.send_to(self_, missing, *find_stored(key.first, key.second));
         });
+    // Writing off a crashed peer may have settled any origin's entries.
+    for (ProcessId origin = 0; origin < known_.size(); ++origin) {
+      prune(origin);
+    }
     if (outstanding) arm_timer();
   }
 
   void try_deliver(ProcessId origin) {
     // FIFO: deliver contiguous sequence numbers only.
-    while (const auto* m = find_known(origin, next_deliver_[origin])) {
+    ++delivering_;
+    while (const auto* m = find_stored(origin, next_deliver_[origin])) {
       deliver_(origin, m->seq, m->payload);
       ++delivered_n_;
       ++next_deliver_[origin];
+    }
+    --delivering_;
+    if (delivering_ > 0) return;
+    prune(origin);
+    if (prune_deferred_) {
+      prune_deferred_ = false;
+      for (ProcessId o = 0; o < known_.size(); ++o) prune(o);
+    }
+  }
+
+  /// Drops `origin`'s stored messages from the front of its row while
+  /// each is delivered and settled.  Skipped while a delivery callback
+  /// runs (a callback may broadcast, delivering our own next message
+  /// inside it), so the payload the callback was handed stays put; the
+  /// outermost delivery catches up afterwards.
+  void prune(ProcessId origin) {
+    if (delivering_ > 0) {
+      prune_deferred_ = true;
+      return;
+    }
+    Row& row = known_[origin];
+    while (row.base < next_deliver_[origin] &&
+           !acks_.pending(Key{origin, row.base})) {
+      row.msgs.pop_front();
+      ++row.base;
+      --stored_;
     }
   }
 
   Net& net_;
   ProcessId self_;
+  std::vector<ProcessId> peers_;  ///< every node but self
   Deliver deliver_;
   std::uint64_t retransmit_every_;
   bool timer_armed_ = false;
   std::uint64_t next_seq_ = 0;
-  /// known_[origin][seq]: every message stored so far.  A deque, so a
+  /// known_[origin]: the messages still stored.  A row is a deque, so a
   /// delivery callback that broadcasts (growing its own origin's row)
   /// leaves the payload it was handed in place.
-  std::vector<std::deque<std::optional<ErbMsg<Payload>>>> known_;
+  std::vector<Row> known_;
+  std::size_t stored_ = 0;
   AckTable<Key> acks_;
   std::vector<std::uint64_t> next_deliver_;
   std::uint64_t delivered_n_ = 0;
+  int delivering_ = 0;  ///< delivery callbacks on the stack
+  bool prune_deferred_ = false;
 };
 
 }  // namespace tokensync

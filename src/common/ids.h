@@ -6,8 +6,10 @@
 // and the owner of account `a` is the process with the same index.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 namespace tokensync {
 
@@ -32,5 +34,15 @@ constexpr ProcessId owner_of(AccountId a) noexcept { return ProcessId{a}; }
 
 /// Inverse of the owner map: the account a_p owned by process p.
 constexpr AccountId account_of(ProcessId p) noexcept { return AccountId{p}; }
+
+/// Every process of 0..n-1 except `self`, ascending: the peer list of a
+/// send to everyone else.
+inline std::vector<ProcessId> peers_of(std::size_t n, ProcessId self) {
+  std::vector<ProcessId> peers;
+  for (ProcessId p = 0; p < n; ++p) {
+    if (p != self) peers.push_back(p);
+  }
+  return peers;
+}
 
 }  // namespace tokensync

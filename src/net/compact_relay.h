@@ -102,7 +102,8 @@ class RelayEndpoint {
 
   RelayEndpoint(NetT& net, ProcessId self, OnGrow on_grow,
                 std::uint64_t retry_delay = 40, int fallback_after = 3)
-      : net_(net), self_(self), on_grow_(std::move(on_grow)),
+      : net_(net), self_(self), peers_(peers_of(net.num_nodes(), self)),
+        on_grow_(std::move(on_grow)),
         recover_(net, self,
                  /*have=*/[this](OpId id) { return store_.contains(id); },
                  /*send=*/
@@ -130,9 +131,7 @@ class RelayEndpoint {
     Msg m;
     m.type = Msg::Type::kAnnounce;
     m.ops = ops;
-    for (ProcessId p = 0; p < net_.num_nodes(); ++p) {
-      if (p != self_) net_.send(self_, p, m);
-    }
+    net_.send_to(self_, peers_, m);
   }
 
   /// O(1) store lookup; nullptr when this replica has never seen `id`.
@@ -198,6 +197,7 @@ class RelayEndpoint {
 
   NetT& net_;
   ProcessId self_;
+  std::vector<ProcessId> peers_;  ///< every replica but self
   OnGrow on_grow_;
   bool announce_enabled_ = true;
   std::unordered_map<OpId, B> store_;

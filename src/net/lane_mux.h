@@ -14,8 +14,8 @@
 //     shared network is exactly one lane's message;
 //   * LaneNet<Sub, Base> — the per-node facade each engine binds to.  It
 //     presents exactly the SimNet surface the engines use (send,
-//     send_all, set_handler, set_timer, set_timer_handler, num_nodes,
-//     now, is_crashed), wrapping outgoing messages into the variant and
+//     send_all, send_to, set_handler, set_timer, set_timer_handler,
+//     num_nodes, now, is_crashed), wrapping outgoing messages into the variant and
 //     tagging timers so all lanes can arm them independently.  A lane
 //     whose message type is auxiliary-class (is_aux_wire, common/wire.h)
 //     arms its timers through set_timer_aux, keeping relay timers out of
@@ -37,6 +37,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <variant>
@@ -74,6 +75,10 @@ class LaneNet {
   }
   void send_all(ProcessId from, const Sub& m) {
     base_.send_all(from, wrap(m));
+  }
+  void send_to(ProcessId from, std::span<const ProcessId> peers,
+               const Sub& m) {
+    base_.send_to(from, peers, wrap(m));
   }
   void set_timer(ProcessId node, std::uint64_t delay,
                  std::uint64_t timer_id) {

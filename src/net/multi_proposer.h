@@ -139,7 +139,8 @@ class SubBlockExchange {
 
   SubBlockExchange(NetT& net, ProcessId self, OnStore on_store,
                    std::uint64_t retry_delay = 40, int fallback_after = 3)
-      : net_(net), self_(self), on_store_(std::move(on_store)),
+      : net_(net), self_(self), peers_(peers_of(net.num_nodes(), self)),
+        on_store_(std::move(on_store)),
         recover_(net, self,
                  /*have=*/[this](OpId id) { return store_.contains(id); },
                  /*send=*/
@@ -171,9 +172,7 @@ class SubBlockExchange {
     Msg m;
     m.type = Msg::Type::kPublish;
     m.subs.push_back(s);
-    for (ProcessId p = 0; p < net_.num_nodes(); ++p) {
-      if (p != self_) net_.send(self_, p, m);
-    }
+    net_.send_to(self_, peers_, m);
   }
 
   /// O(1) store lookup; nullptr when this replica has never seen `id`.
@@ -232,6 +231,7 @@ class SubBlockExchange {
 
   NetT& net_;
   ProcessId self_;
+  std::vector<ProcessId> peers_;  ///< every replica but self
   OnStore on_store_;
   bool publish_enabled_ = true;
   std::unordered_map<OpId, Sub> store_;

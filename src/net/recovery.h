@@ -142,7 +142,8 @@ class RecoveryEndpoint {
 
   RecoveryEndpoint(NetT& net, ProcessId self, FrontierFn frontier,
                    OnReply on_reply, std::uint64_t retry_delay = 40)
-      : net_(net), self_(self), frontier_(std::move(frontier)),
+      : net_(net), self_(self), peers_(peers_of(net.num_nodes(), self)),
+        frontier_(std::move(frontier)),
         on_reply_(std::move(on_reply)), retry_delay_(retry_delay),
         marks_(net.num_nodes(), 0) {
     net_.set_handler(self_, [this](ProcessId from, const Msg& m) {
@@ -162,9 +163,7 @@ class RecoveryEndpoint {
     Msg m;
     m.type = Msg::Type::kSnapMark;
     m.slot = slot;
-    for (ProcessId p = 0; p < net_.num_nodes(); ++p) {
-      if (p != self_) net_.send(self_, p, m);
-    }
+    net_.send_to(self_, peers_, m);
   }
 
   /// The all-replica snapshot floor: min over LIVE replicas of their
@@ -269,6 +268,7 @@ class RecoveryEndpoint {
 
   NetT& net_;
   ProcessId self_;
+  std::vector<ProcessId> peers_;  ///< every replica but self
   FrontierFn frontier_;
   OnReply on_reply_;
   std::uint64_t retry_delay_;

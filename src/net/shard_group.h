@@ -80,6 +80,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -144,6 +145,10 @@ class GroupNet {
   }
   void send_all(ProcessId from, const Sub& m) {
     base_.send_all(from, Wire{group_, m});
+  }
+  void send_to(ProcessId from, std::span<const ProcessId> peers,
+               const Sub& m) {
+    base_.send_to(from, peers, Wire{group_, m});
   }
   void set_timer(ProcessId node, std::uint64_t delay,
                  std::uint64_t timer_id) {

@@ -40,20 +40,37 @@
 // SimNet is templated on the wire-message type; each protocol defines its
 // own message struct and registers a delivery handler per node.
 //
-// Storage: the priority queue orders 24-byte (time, tie, slot) keys only.
-// Each event's body (kind, endpoints, timer id, message, callback) sits in
-// a free-listed slab and is dispatched where it lies, so a heap sift moves
-// three words instead of a message variant plus a std::function.  The slab
-// is a std::deque: handlers push new events during dispatch, and growing a
-// deque at the back leaves references to the body being dispatched valid.
+// Storage.  Events wait in a timing wheel: one bucket per tick, kWheelTicks
+// ticks ahead of now.  A bucket holds only events of one time, in two
+// FIFOs of (tie, slot) keys, primary and aux; ties grow monotonically
+// per class, so each FIFO is in tie order and a pop takes the head with
+// the smaller tie.  Events further ahead (fault schedules, client
+// scripts, long backoffs) wait in a small (time, tie) heap and move into
+// their bucket when now comes within the horizon of their time, before
+// anything can be pushed there directly; with the wheel empty, now jumps
+// to the heap's head.  So the pop order is exactly the (time, tie) order.
+// Each event's body (kind, endpoints, timer id, payload index, callback)
+// sits in a free-listed slab and is dispatched where it lies.
+//
+// A message is stored once, in a free-listed payload slab with a
+// refcount, its wire size and its aux flag: send_all and send_to share
+// one payload across every destination and duplicate, and only an
+// equivocator's forked copy gets its own.  Both slabs are std::deques:
+// handlers push new events and payloads during dispatch, and growing a
+// deque at the back leaves references to the body and message being
+// dispatched valid.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <queue>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -105,7 +122,9 @@ class SimNet {
   SimNet(std::size_t n, NetConfig cfg)
       : cfg_(cfg), rng_(cfg.seed),
         aux_rng_(cfg.seed ^ 0x9e3779b97f4a7c15ull), handlers_(n),
-        timer_handlers_(n), crashed_(n, false) {}
+        timer_handlers_(n), crashed_(n, false), everyone_(n) {
+    std::iota(everyone_.begin(), everyone_.end(), ProcessId{0});
+  }
 
   std::size_t num_nodes() const noexcept { return handlers_.size(); }
   std::uint64_t now() const noexcept { return now_; }
@@ -185,48 +204,21 @@ class SimNet {
   /// Sends m from `from` to `to` (self-sends allowed: delivered like any
   /// other message).  Drops, duplication and partitions apply.
   void send(ProcessId from, ProcessId to, Msg m) {
-    TS_EXPECTS(from < num_nodes() && to < num_nodes());
-    if (crashed_[from]) return;
-    if (!equivocators_.empty()) {
-      if (auto it = equivocators_.find(from); it != equivocators_.end()) {
-        if (auto forked = it->second(to, m)) m = *std::move(forked);
-      }
-    }
-    ++stats_.sent;
-    stats_.bytes_sent += wire_size_of(m);
-    if (!link_up(from, to)) {
-      ++stats_.dropped;
-      return;
-    }
-    if (link_filter_ && !link_filter_(from, to, now_)) {
-      ++stats_.dropped;
-      return;
-    }
-    // Auxiliary-class traffic (relay recovery, see common/wire.h) draws
-    // its loss/duplication/delay randomness from the second Rng stream:
-    // primary-lane messages see the exact same draw sequence whether or
-    // not aux traffic exists, which is what keeps committed histories
-    // byte-identical between full and compact relay modes.
-    const bool aux = is_aux_msg(m);
-    Rng& rng = aux ? aux_rng_ : rng_;
-    if (cfg_.drop_num > 0 && rng.chance(cfg_.drop_num, cfg_.drop_den)) {
-      ++stats_.dropped;
-      return;
-    }
-    const bool duplicate =
-        cfg_.dup_num > 0 && rng.chance(cfg_.dup_num, cfg_.dup_den);
-    if (!duplicate) {
-      push_message(from, to, std::move(m), aux);
-      return;
-    }
-    ++stats_.duplicated;
-    push_message(from, to, m, aux);
-    push_message(from, to, std::move(m), aux);
+    send_to(from, std::span<const ProcessId>(&to, 1), std::move(m));
   }
 
   /// Sends m to every node (including the sender).
-  void send_all(ProcessId from, const Msg& m) {
-    for (ProcessId to = 0; to < num_nodes(); ++to) send(from, to, m);
+  void send_all(ProcessId from, const Msg& m) { send_to(from, everyone_, m); }
+
+  /// Sends m to each of `peers` in order, exactly as that many send()
+  /// calls would (the same per-destination fork, loss, duplication and
+  /// delay draws, the same ties), but every copy shares one payload.
+  void send_to(ProcessId from, std::span<const ProcessId> peers, Msg m) {
+    TS_EXPECTS(from < num_nodes());
+    if (crashed_[from]) return;
+    const std::uint32_t shared = new_payload(std::move(m));
+    for (ProcessId to : peers) route(from, to, shared);
+    release_if_unused(shared);
   }
 
   /// Schedules a timer callback at now + delay, dispatched through the
@@ -261,13 +253,16 @@ class SimNet {
 
   /// Delivers the next event; false when the queue is empty.
   bool step() {
-    if (queue_.empty()) return false;
-    const Key k = queue_.top();
-    queue_.pop();
-    now_ = k.time;
+    if (wheel_events_ == 0) {
+      if (far_.empty()) return false;
+      advance_to(far_.top().time);
+    } else if (const std::uint64_t ahead = ticks_to_next_bucket(); ahead) {
+      advance_to(now_ + ahead);
+    }
+    const std::uint32_t slot = pop_current();
     // The body stays in its slot while its handler runs (events the
     // handler pushes take other slots) and is released afterwards.
-    Body& e = slab_[k.slot];
+    Body& e = slab_[slot];
     switch (e.kind) {
       case Kind::kControl:
         e.fn();
@@ -282,18 +277,20 @@ class SimNet {
           timer_handlers_[e.to](e.timer_id);
         }
         break;
-      case Kind::kMsg:
+      case Kind::kMsg: {
+        const Payload& pl = payloads_[e.payload];
         if (crashed_[e.to]) {
           ++stats_.dropped;
         } else {
           ++stats_.delivered;
-          stats_.bytes_delivered += wire_size_of(e.msg);
-          if (handlers_[e.to]) handlers_[e.to](e.from, e.msg);
+          stats_.bytes_delivered += pl.bytes;
+          if (handlers_[e.to]) handlers_[e.to](e.from, pl.msg);
         }
-        e.msg = Msg{};
+        unref(e.payload);
         break;
+      }
     }
-    free_.push_back(k.slot);
+    free_.push_back(slot);
     return true;
   }
 
@@ -304,36 +301,152 @@ class SimNet {
     return processed;
   }
 
-  bool idle() const noexcept { return queue_.empty(); }
+  bool idle() const noexcept { return wheel_events_ == 0 && far_.empty(); }
+
+  /// Messages held in the payload slab: each is referenced by at least
+  /// one queued delivery.  0 whenever the net is idle.
+  std::size_t live_payloads() const noexcept {
+    return payloads_.size() - free_payloads_.size();
+  }
 
  private:
   static constexpr std::uint32_t kIsolated = 0xffffffffu;
 
   enum class Kind : std::uint8_t { kMsg, kTimer, kCall, kControl };
 
-  /// What the queue orders.  (time, tie) is unique per event, so the pop
-  /// order never depends on the slot numbers.
+  /// Ticks the wheel covers: an event less than this far ahead goes
+  /// straight into its bucket.  Every protocol delay in the repo fits.
+  static constexpr std::uint64_t kWheelTicks = 128;
+  static_assert(kWheelTicks == 2 * 64, "occupied_ is a two-word mask");
+
+  /// A queued event in its bucket; the bucket gives its time.
+  struct Entry {
+    std::uint64_t tie;
+    std::uint32_t slot;
+  };
+
+  /// Entries of one class for one time, in push (= tie) order.  Popped
+  /// entries stay below `head` until the FIFO drains and is cleared.
+  struct Fifo {
+    std::vector<Entry> items;
+    std::size_t head = 0;
+    bool empty() const noexcept { return head == items.size(); }
+  };
+
+  struct Bucket {
+    Fifo pri;  ///< even ties
+    Fifo aux;  ///< odd ties
+  };
+
+  /// An event beyond the wheel's horizon.  (time, tie) is unique per
+  /// event, so the order never depends on the slot numbers.
   struct Key {
     std::uint64_t time;
     std::uint64_t tie;
     std::uint32_t slot;
   };
-  static_assert(sizeof(Key) == 24);
   struct Later {
     bool operator()(const Key& a, const Key& b) const {
       return a.time != b.time ? a.time > b.time : a.tie > b.tie;
     }
   };
 
-  /// An event's payload.  A released slot holds an empty `msg` and `fn`.
+  /// An event's header.  A released slot holds an empty `fn`.
   struct Body {
     Kind kind = Kind::kMsg;
     ProcessId from = 0;
     ProcessId to = 0;
+    std::uint32_t payload = 0;  ///< kMsg: index into payloads_
     std::uint64_t timer_id = 0;
-    Msg msg{};
     Callback fn;
   };
+
+  /// One message, shared by every queued delivery of it.  A released
+  /// slot holds a default `msg`.
+  struct Payload {
+    Msg msg{};
+    std::uint64_t bytes = 0;  ///< wire_size_of(msg)
+    std::uint32_t refs = 0;   ///< queued deliveries
+    bool aux = false;         ///< is_aux_msg(msg)
+  };
+
+  std::uint32_t new_payload(Msg m) {
+    std::uint32_t p;
+    if (free_payloads_.empty()) {
+      p = static_cast<std::uint32_t>(payloads_.size());
+      payloads_.emplace_back();
+    } else {
+      p = free_payloads_.back();
+      free_payloads_.pop_back();
+    }
+    Payload& pl = payloads_[p];
+    pl.bytes = wire_size_of(m);
+    pl.aux = is_aux_msg(m);
+    pl.msg = std::move(m);
+    return p;
+  }
+
+  void release_if_unused(std::uint32_t p) {
+    Payload& pl = payloads_[p];
+    if (pl.refs != 0) return;
+    pl.msg = Msg{};
+    free_payloads_.push_back(p);
+  }
+
+  void unref(std::uint32_t p) {
+    --payloads_[p].refs;
+    release_if_unused(p);
+  }
+
+  /// One destination of a send: the fork, the partition and link
+  /// checks, then the loss, duplication and delay draws.
+  void route(ProcessId from, ProcessId to, std::uint32_t shared) {
+    TS_EXPECTS(to < num_nodes());
+    std::uint32_t p = shared;
+    if (!equivocators_.empty()) {
+      if (auto it = equivocators_.find(from); it != equivocators_.end()) {
+        if (auto forked = it->second(to, payloads_[shared].msg)) {
+          p = new_payload(*std::move(forked));
+        }
+      }
+    }
+    transmit(from, to, p);
+    if (p != shared) release_if_unused(p);
+  }
+
+  /// Puts payload p on the link from->to: counts it as sent, then
+  /// queues zero, one or two deliveries of it.
+  void transmit(ProcessId from, ProcessId to, std::uint32_t p) {
+    const Payload& pl = payloads_[p];
+    ++stats_.sent;
+    stats_.bytes_sent += pl.bytes;
+    if (!link_up(from, to)) {
+      ++stats_.dropped;
+      return;
+    }
+    if (link_filter_ && !link_filter_(from, to, now_)) {
+      ++stats_.dropped;
+      return;
+    }
+    // Auxiliary-class traffic (relay recovery, see common/wire.h) draws
+    // its loss/duplication/delay randomness from the second Rng stream:
+    // primary-lane messages see the exact same draw sequence whether or
+    // not aux traffic exists, which is what keeps committed histories
+    // byte-identical between full and compact relay modes.
+    const bool aux = pl.aux;
+    Rng& rng = aux ? aux_rng_ : rng_;
+    if (cfg_.drop_num > 0 && rng.chance(cfg_.drop_num, cfg_.drop_den)) {
+      ++stats_.dropped;
+      return;
+    }
+    const bool duplicate =
+        cfg_.dup_num > 0 && rng.chance(cfg_.dup_num, cfg_.dup_den);
+    if (duplicate) {
+      ++stats_.duplicated;
+      push_message(from, to, p, aux);
+    }
+    push_message(from, to, p, aux);
+  }
 
   /// Takes a free slot (the most recently released first) or grows the
   /// slab, fills its header and queues it at now + delay.
@@ -351,7 +464,12 @@ class SimNet {
     b.kind = kind;
     b.from = from;
     b.to = to;
-    queue_.push(Key{now_ + delay, next_tie(aux), slot});
+    const Key k{now_ + delay, next_tie(aux), slot};
+    if (delay < kWheelTicks) {
+      enqueue(k);
+    } else {
+      far_.push(k);
+    }
     return b;
   }
 
@@ -365,7 +483,8 @@ class SimNet {
     push(kind, node, node, delay, false).fn = std::move(fn);
   }
 
-  void push_message(ProcessId from, ProcessId to, Msg m, bool aux) {
+  void push_message(ProcessId from, ProcessId to, std::uint32_t p,
+                    bool aux) {
     std::uint64_t lo = cfg_.min_delay, hi = cfg_.max_delay;
     if (!link_delay_.empty()) {
       if (const auto it = link_delay_.find({from, to});
@@ -375,7 +494,8 @@ class SimNet {
       }
     }
     const std::uint64_t delay = (aux ? aux_rng_ : rng_).range(lo, hi);
-    push(Kind::kMsg, from, to, delay, aux).msg = std::move(m);
+    push(Kind::kMsg, from, to, delay, aux).payload = p;
+    ++payloads_[p].refs;
   }
 
   /// Two disjoint tie-break sequences (primary even, aux odd): the
@@ -383,6 +503,69 @@ class SimNet {
   /// primary activity alone, so aux traffic cannot reorder them.
   std::uint64_t next_tie(bool aux) {
     return aux ? (aux_tie_++ * 2 + 1) : (pri_tie_++ * 2);
+  }
+
+  // --- the timing wheel ---------------------------------------------------
+
+  /// Appends k to its bucket; its time lies in [now, now + kWheelTicks).
+  void enqueue(const Key& k) {
+    const std::uint64_t b = k.time % kWheelTicks;
+    Bucket& bucket = wheel_[b];
+    (k.tie & 1 ? bucket.aux : bucket.pri).items.push_back({k.tie, k.slot});
+    occupied_[b / 64] |= std::uint64_t{1} << (b % 64);
+    ++wheel_events_;
+  }
+
+  /// Ticks from now to the first non-empty bucket (0 if now's bucket
+  /// still holds events); the wheel must not be empty.
+  std::uint64_t ticks_to_next_bucket() const {
+    // Rotate the 128-bit occupancy mask right by s so bit 0 is now.
+    std::uint64_t lo = occupied_[0], hi = occupied_[1];
+    unsigned s = static_cast<unsigned>(now_ % kWheelTicks);
+    if (s >= 64) {
+      std::swap(lo, hi);
+      s -= 64;
+    }
+    if (s != 0) {
+      const std::uint64_t lo2 = (lo >> s) | (hi << (64 - s));
+      hi = (hi >> s) | (lo << (64 - s));
+      lo = lo2;
+    }
+    return lo != 0 ? std::countr_zero(lo) : 64 + std::countr_zero(hi);
+  }
+
+  /// Moves now forward to t, then moves every far event now within the
+  /// horizon into its bucket.  The heap pops in (time, tie) order, and
+  /// nothing has been pushed directly to those times yet, so each FIFO
+  /// stays in tie order.
+  void advance_to(std::uint64_t t) {
+    now_ = t;
+    while (!far_.empty() && far_.top().time < now_ + kWheelTicks) {
+      enqueue(far_.top());
+      far_.pop();
+    }
+  }
+
+  /// Removes the next event of now's bucket and returns its slot.
+  std::uint32_t pop_current() {
+    const std::uint64_t b = now_ % kWheelTicks;
+    Bucket& bucket = wheel_[b];
+    const bool take_aux =
+        bucket.pri.empty() ||
+        (!bucket.aux.empty() &&
+         bucket.aux.items[bucket.aux.head].tie <
+             bucket.pri.items[bucket.pri.head].tie);
+    Fifo& f = take_aux ? bucket.aux : bucket.pri;
+    const std::uint32_t slot = f.items[f.head++].slot;
+    if (f.empty()) {
+      f.items.clear();
+      f.head = 0;
+      if (bucket.pri.empty() && bucket.aux.empty()) {
+        occupied_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+      }
+    }
+    --wheel_events_;
+    return slot;
   }
 
   NetConfig cfg_;
@@ -400,9 +583,15 @@ class SimNet {
   std::map<std::pair<ProcessId, ProcessId>,
            std::pair<std::uint64_t, std::uint64_t>>
       link_delay_;
-  std::priority_queue<Key, std::vector<Key>, Later> queue_;
+  std::vector<ProcessId> everyone_;  ///< 0..n-1, send_all's peer list
+  std::array<Bucket, kWheelTicks> wheel_{};
+  std::uint64_t occupied_[2] = {0, 0};  ///< bit b: wheel_[b] is non-empty
+  std::size_t wheel_events_ = 0;
+  std::priority_queue<Key, std::vector<Key>, Later> far_;
   std::deque<Body> slab_;
   std::vector<std::uint32_t> free_;  ///< released slab slots, reused LIFO
+  std::deque<Payload> payloads_;
+  std::vector<std::uint32_t> free_payloads_;  ///< reused LIFO
   NetStats stats_;
 };
 

@@ -13,9 +13,12 @@
 //   * crashed peers are written off: a dead receiver must not keep the
 //     retransmission timer armed forever (the simulator's crash oracle
 //     stands in for the crash-stop model's failure detector);
-//   * the frontier accessor the hybrid merge barrier snapshots.
+//   * the frontier accessor the hybrid merge barrier snapshots;
+//   * bounded storage: a message is stored only until it is delivered
+//     and every peer acked it, so the store empties at quiescence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <vector>
@@ -70,6 +73,7 @@ TEST(ErbEdge, FifoPerSenderUnderLossAndDuplication) {
       EXPECT_EQ(seq, next[origin]++) << "node " << p << " origin " << origin;
       EXPECT_EQ(v, 100 * origin + seq);
     }
+    EXPECT_EQ(c.nodes[p]->stored_messages(), 0u) << "node " << p;
   }
 }
 
@@ -85,6 +89,7 @@ TEST(ErbEdge, RetransmissionQuiescesAfterAllAcked) {
   for (ProcessId p = 0; p < 4; ++p) {
     EXPECT_EQ(c.nodes[p]->unacked(), 0u) << "node " << p;
     EXPECT_EQ(c.nodes[p]->pending_ack_entries(), 0u) << "node " << p;
+    EXPECT_EQ(c.nodes[p]->stored_messages(), 0u) << "node " << p;
   }
   // A quiescent cluster accepts new broadcasts (timers re-arm cleanly).
   c.nodes[0]->broadcast(Note{99});
@@ -92,6 +97,7 @@ TEST(ErbEdge, RetransmissionQuiescesAfterAllAcked) {
   EXPECT_TRUE(c.net.idle());
   for (ProcessId p = 0; p < 4; ++p) {
     EXPECT_EQ(c.delivered[p].size(), 6u) << "node " << p;
+    EXPECT_EQ(c.nodes[p]->stored_messages(), 0u) << "node " << p;
   }
 }
 
@@ -109,6 +115,7 @@ TEST(ErbEdge, QuiescesUnderHeavyLossToo) {
     EXPECT_EQ(c.delivered[p].size(), 4u) << "node " << p;
     EXPECT_EQ(c.nodes[p]->unacked(), 0u);
     EXPECT_EQ(c.nodes[p]->pending_ack_entries(), 0u);
+    EXPECT_EQ(c.nodes[p]->stored_messages(), 0u);
   }
 }
 
@@ -143,6 +150,8 @@ TEST(ErbEdge, CrashedReceiverIsWrittenOff) {
     ASSERT_EQ(c.delivered[p].size(), 1u) << "node " << p;
     EXPECT_EQ(c.nodes[p]->unacked(), 0u);
     EXPECT_EQ(c.nodes[p]->pending_ack_entries(), 0u);
+    // Settled by writing the crashed peer off, so dropped from the store.
+    EXPECT_EQ(c.nodes[p]->stored_messages(), 0u);
   }
   EXPECT_TRUE(c.delivered[3].empty());
 }
@@ -157,6 +166,65 @@ TEST(ErbEdge, FrontierTracksPerOriginDelivery) {
     EXPECT_EQ(c.nodes[p]->frontier(0), 2u);
     EXPECT_EQ(c.nodes[p]->frontier(1), 0u);
     EXPECT_EQ(c.nodes[p]->frontier(2), 1u);
+  }
+}
+
+TEST(ErbEdge, StoreHoldsOnlyTheUnsettledWindow) {
+  // 400 broadcasts spread over ~4k ticks of lossy, duplicating links:
+  // the store tracks the messages still in flight, not the run so far.
+  Cluster c(4, NetConfig{.seed = 31, .min_delay = 1, .max_delay = 12,
+                         .drop_num = 10, .drop_den = 100,
+                         .dup_num = 20, .dup_den = 100});
+  for (std::uint64_t i = 0; i < 400; ++i) {
+    const ProcessId origin = static_cast<ProcessId>(i % 4);
+    c.net.call_at(origin, 1 + 10 * i,
+                  [&c, origin, i] { c.nodes[origin]->broadcast(Note{i}); });
+  }
+  std::size_t peak = 0;
+  while (!c.net.idle()) {
+    c.net.run(64);
+    for (const auto& node : c.nodes) {
+      peak = std::max(peak, node->stored_messages());
+    }
+  }
+  EXPECT_GT(peak, 0u);
+  EXPECT_LT(peak, 100u);
+  for (ProcessId p = 0; p < 4; ++p) {
+    EXPECT_EQ(c.delivered[p].size(), 400u) << "node " << p;
+    EXPECT_EQ(c.nodes[p]->stored_messages(), 0u) << "node " << p;
+  }
+}
+
+TEST(ErbEdge, BroadcastFromInsideDeliveryKeepsThePayload) {
+  // A relay ring: each node answers a delivery from the node before it
+  // with a broadcast of its own, which delivers locally inside the
+  // callback.  The payload the callback holds must stay intact, and
+  // nothing stays stored.
+  using Net = SimNet<ErbMsg<Note>>;
+  Net net(3, NetConfig{.seed = 4, .min_delay = 1, .max_delay = 6,
+                       .drop_num = 10, .drop_den = 100});
+  std::vector<std::unique_ptr<ErbNode<Note>>> nodes;
+  std::vector<std::size_t> delivered(3, 0);
+  int corrupted = 0;
+  for (ProcessId p = 0; p < 3; ++p) {
+    nodes.push_back(std::make_unique<ErbNode<Note>>(
+        net, p,
+        [&, p](ProcessId origin, std::uint64_t, const Note& m) {
+          ++delivered[p];
+          const Note before = m;
+          if (origin == (p + 2) % 3 && m.v < 30) {
+            nodes[p]->broadcast(Note{m.v + 1});
+          }
+          if (!(m == before)) ++corrupted;
+        }));
+  }
+  nodes[0]->broadcast(Note{0});
+  net.run(4'000'000);
+  EXPECT_TRUE(net.idle());
+  EXPECT_EQ(corrupted, 0);
+  for (ProcessId p = 0; p < 3; ++p) {
+    EXPECT_EQ(delivered[p], 31u) << "node " << p;
+    EXPECT_EQ(nodes[p]->stored_messages(), 0u) << "node " << p;
   }
 }
 
