@@ -338,8 +338,9 @@ class SimNet {
     Fifo aux;  ///< odd ties
   };
 
-  /// An event beyond the wheel's horizon.  (time, tie) is unique per
-  /// event, so the order never depends on the slot numbers.
+  /// An event's place in the order: (time, tie) is unique per event, so
+  /// the order never depends on the slot numbers.  far_ keeps the keys
+  /// of events beyond the wheel's horizon.
   struct Key {
     std::uint64_t time;
     std::uint64_t tie;
